@@ -23,6 +23,8 @@ let key_of p =
   (Int32.to_int (Ipv4.to_int32 (Prefix.network p)) land 0xFFFFFFFF) lsl 6
   lor Prefix.length p
 
+let key = key_of
+
 let key_of_parts addr len =
   ((Int32.to_int (Ipv4.to_int32 addr) land 0xFFFFFFFF) lsl 6) lor len
 
@@ -139,6 +141,39 @@ let rec filter pred = function
 
 let to_list t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 let of_list l = List.fold_left (fun t (p, v) -> add p v t) empty l
+
+(* Bulk build from ascending keys, bottom-up: a key range [lo, hi)
+   branches at the highest bit where its first and last keys differ —
+   every key in between shares the bits above it, and the keys with the
+   bit clear form a prefix of the range, found by bisection. That is the
+   branch [join] creates for the same key set, so the result is the
+   canonical trie [of_list] builds, at one allocation per node and no
+   path copying. Equal adjacent keys collapse to the last binding,
+   [of_list]'s last-add-wins. *)
+let init_sorted n prefix_at value_at =
+  let keys = Array.init n (fun i -> key_of (prefix_at i)) in
+  for i = 1 to n - 1 do
+    if keys.(i) < keys.(i - 1) then
+      invalid_arg "Ptrie.init_sorted: prefixes not in ascending order"
+  done;
+  (* first index of [lo, hi) whose key has [bit] set *)
+  let rec first_set lo hi bit =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if zero_bit keys.(mid) bit then first_set (mid + 1) hi bit
+      else first_set lo mid bit
+  in
+  let rec build lo hi =
+    let k0 = keys.(lo) and k1 = keys.(hi - 1) in
+    if k0 = k1 then Leaf { key = k1; p = prefix_at (hi - 1); v = value_at (hi - 1) }
+    else
+      let bit = highest_bit (k0 lxor k1) in
+      let m = first_set lo hi bit in
+      Branch { pre = mask k0 bit; bit; l = build lo m; r = build m hi }
+  in
+  if n = 0 then Empty else build 0 n
+
 let keys t = List.map fst (to_list t)
 
 (* Subsumed bindings occupy the contiguous key range

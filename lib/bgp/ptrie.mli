@@ -13,6 +13,11 @@
 
 type 'a t
 
+val key : Prefix.t -> int
+(** The packed integer key [(network lsl 6) lor length]. Ascending keys
+    are ascending {!Prefix.compare} order, so bulk builders can sort on
+    plain ints. *)
+
 val empty : 'a t
 val is_empty : 'a t -> bool
 
@@ -49,6 +54,17 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val filter : (Prefix.t -> 'a -> bool) -> 'a t -> 'a t
 val to_list : 'a t -> (Prefix.t * 'a) list
 val of_list : (Prefix.t * 'a) list -> 'a t
+
+val init_sorted : int -> (int -> Prefix.t) -> (int -> 'a) -> 'a t
+(** [init_sorted n prefix_at value_at] binds [prefix_at i] to
+    [value_at i] for [i] in [0, n), where the prefixes are in ascending
+    order; of equal adjacent prefixes the last index wins. Structurally
+    equal to {!of_list} on the same bindings, but built bottom-up in
+    O(n log n) cheap integer steps with one allocation per node — the
+    bulk path for million-entry tables. [value_at] is called only for
+    the winning indices. Raises [Invalid_argument] if the prefixes are
+    not ascending. *)
+
 val keys : 'a t -> Prefix.t list
 val union : ('a -> 'a -> 'a) -> 'a t -> 'a t -> 'a t
 (** [union f a b] keeps all bindings, resolving duplicates with [f]. *)

@@ -35,10 +35,15 @@ type diff = {
 type t = {
   time_s : int;
   prefix_rates : (Bgp.Prefix.t * float) list Lazy.t;
+  by_prefix : (Bgp.Prefix.t * float) array Lazy.t;
+      (* the rated set in ascending prefix order *)
   rate_set : RSet.t;
   rate_trie : float Bgp.Ptrie.t;
   routes : Bgp.Prefix.t -> Bgp.Route.t list;
   routes_memo : (Bgp.Prefix.t, Bgp.Route.t list) Hashtbl.t;
+  mutable ranked : Bgp.Route.t list array;
+      (* candidates of [by_prefix], slot for slot, once a cold pass has
+         ranked them all; [||] before *)
   ifaces : Ef_netsim.Iface.t list;
   iface_index : Ef_netsim.Iface.t option array; (* indexed by iface id *)
   iface_id_of_peer : int -> int option;
@@ -83,21 +88,27 @@ let iface_delta prev_index next_index =
   done;
   !acc
 
-(* --- parallel table build ---------------------------------------------
+(* --- table build --------------------------------------------------------
 
-   The cold 1M-prefix assemble is dominated by the sort and the
-   set/trie folds, all of which shard cleanly: chunks of the input are
-   filtered + sorted per domain and merged pairwise (stable, left-first
-   on ties — but compare_rated ties are structurally equal pairs, so tie
-   order cannot be observed); then contiguous ranges of the *sorted*
-   order build RSet / Ptrie shards that union cheaply, because a
-   contiguous range is a separated interval in the set's comparator and
-   the trie is canonical (same bindings ⇒ same structure, whatever the
-   insertion order). Duplicated prefixes keep their serial last-add-wins
-   semantics: chunk tries are unioned left to right with the right side
-   winning, which is the same winner as the serial fold over the sorted
-   list. The float total is re-folded serially over the merged array —
-   the exact addition sequence the serial path performs. *)
+   One path at every pool size: without a pool (or below [par_threshold]
+   prefixes) the build below runs as a single chunk on the calling
+   domain.
+
+   - Canonical order: input chunks are filtered and stably sorted per
+     domain, then merged pairwise (left-first on ties — but compare_rated
+     ties are structurally equal pairs, so tie order cannot be observed).
+   - Rated set: contiguous ranges of the sorted order build RSet shards
+     bottom-up that union cheaply, each being a separated interval of
+     the set's comparator.
+   - Prefix order, for the rate trie and {!rates_by_prefix}: full-table
+     feeds (Dfz.current_rates) arrive prefix-ascending already, which one
+     O(n) pass confirms; anything else is sorted on the packed int key,
+     ties kept in canonical order. The trie is then built bottom-up in one
+     pass, and a duplicated prefix keeps the pair that comes last in
+     canonical order — the winner of a fold of [Ptrie.add] over the
+     sorted list.
+   - The float total is folded serially over the merged array: the one
+     exact addition sequence every builder, {!patch} included, performs. *)
 
 let par_threshold = 8192
 
@@ -131,98 +142,107 @@ let rec merge_runs = function
       in
       merge_runs (pair runs)
 
-let chunk_ranges = Ef_util.Pool.chunk_ranges
+(* The set of [a.(lo) .. a.(hi - 1)] by unions of balanced halves: on a
+   range sorted in the set's order each union joins two separated sets
+   along their spines, so the build is linear where folding [add] is
+   n log n. *)
+let rec rset_of_sorted a lo hi =
+  match hi - lo with
+  | len when len <= 0 -> RSet.empty
+  | 1 -> RSet.singleton a.(lo)
+  | len ->
+      let mid = lo + (len / 2) in
+      RSet.union (rset_of_sorted a lo mid) (rset_of_sorted a mid hi)
+
+let strictly_ascending rated =
+  let n = Array.length rated in
+  let rec go i prev =
+    i >= n
+    ||
+    let k = Bgp.Ptrie.key (fst rated.(i)) in
+    k > prev && go (i + 1) k
+  in
+  go 0 (-1)
+
+(* [rated] (canonical order) re-sorted on the packed prefix key, ties
+   left in canonical order, structurally equal pairs kept once — the
+   rated set's content in ascending prefix order *)
+let sort_by_prefix rated =
+  let keys = Array.map (fun (p, _) -> Bgp.Ptrie.key p) rated in
+  let idx = Array.init (Array.length rated) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare keys.(i) keys.(j)) idx;
+  let out = ref [] in
+  for j = Array.length idx - 1 downto 0 do
+    let pr = rated.(idx.(j)) in
+    match !out with
+    | (p, r) :: _ when Bgp.Prefix.equal p (fst pr) && r = snd pr -> ()
+    | _ -> out := pr :: !out
+  done;
+  Array.of_list !out
 
 let assemble ?obs ?pool ~routes ~iface_of_peer ~ifaces ~prefix_rates ~time_s ()
     =
   let obs = match obs with Some r -> r | None -> Ef_obs.Registry.default () in
   Ef_obs.Span.time ~registry:obs "collector.assemble" @@ fun () ->
+  let raw = Array.of_list prefix_rates in
+  let n = Array.length raw in
   let pool =
     match pool with
     | Some p
       when Ef_util.Pool.jobs p > 1
            && (not (Ef_util.Pool.in_task ()))
-           && List.length prefix_rates >= par_threshold ->
+           && n >= par_threshold ->
         Some p
     | _ -> None
   in
-  let prefix_rates, rate_set, rate_trie, total_rate_bps, prefix_count =
-    match pool with
-    | None ->
-        let prefix_rates =
-          prefix_rates
-          |> List.filter (fun (_, r) -> r > 0.0)
-          |> List.sort compare_rated
-        in
-        let rate_set =
-          List.fold_left (fun s pr -> RSet.add pr s) RSet.empty prefix_rates
-        in
-        let rate_trie, total, count =
-          List.fold_left
-            (fun (trie, total, n) (p, r) ->
-              (Bgp.Ptrie.add p r trie, total +. r, n + 1))
-            (Bgp.Ptrie.empty, 0.0, 0) prefix_rates
-        in
-        (prefix_rates, rate_set, rate_trie, total, count)
-    | Some pool ->
-        let raw = Array.of_list prefix_rates in
-        let n = Array.length raw in
-        let k = Ef_util.Pool.jobs pool in
-        let runs =
-          Ef_util.Pool.map pool
-            (fun (lo, hi) ->
-              let kept = ref [] in
-              for i = hi - 1 downto lo do
-                let (_, r) as pr = raw.(i) in
-                if r > 0.0 then kept := pr :: !kept
-              done;
-              let a = Array.of_list !kept in
-              Array.sort compare_rated a;
-              a)
-            (chunk_ranges ~n ~k)
-        in
-        let sorted = merge_runs runs in
-        let m = Array.length sorted in
-        let parts =
-          Ef_util.Pool.map pool
-            (fun (lo, hi) ->
-              let set = ref RSet.empty and trie = ref Bgp.Ptrie.empty in
-              for i = lo to hi - 1 do
-                let (p, r) as pr = sorted.(i) in
-                set := RSet.add pr !set;
-                trie := Bgp.Ptrie.add p r !trie
-              done;
-              (!set, !trie))
-            (chunk_ranges ~n:m ~k)
-        in
-        let rate_set =
-          List.fold_left (fun acc (s, _) -> RSet.union acc s) RSet.empty parts
-        in
-        let rate_trie =
-          List.fold_left
-            (fun acc (_, t) -> Bgp.Ptrie.union (fun _ b -> b) acc t)
-            Bgp.Ptrie.empty parts
-        in
-        let total = ref 0.0 in
-        Array.iter (fun (_, r) -> total := !total +. r) sorted;
-        (Array.to_list sorted, rate_set, rate_trie, !total, m)
+  let runs =
+    Ef_util.Pool.map_ranges pool ~n (fun (lo, hi) ->
+        let kept = ref [] in
+        for i = hi - 1 downto lo do
+          let (_, r) as pr = raw.(i) in
+          if r > 0.0 then kept := pr :: !kept
+        done;
+        let kept = Array.of_list !kept in
+        let sorted = Array.copy kept in
+        Array.stable_sort compare_rated sorted;
+        (kept, sorted))
   in
+  let sorted = merge_runs (List.map snd runs) in
+  let prefix_count = Array.length sorted in
+  let rate_set =
+    Ef_util.Pool.map_ranges pool ~n:prefix_count (fun (lo, hi) ->
+        rset_of_sorted sorted lo hi)
+    |> List.fold_left RSet.union RSet.empty
+  in
+  let by_prefix =
+    let kept = Array.concat (List.map fst runs) in
+    if strictly_ascending kept then kept else sort_by_prefix sorted
+  in
+  let rate_trie =
+    Bgp.Ptrie.init_sorted (Array.length by_prefix)
+      (fun i -> fst by_prefix.(i))
+      (fun i -> snd by_prefix.(i))
+  in
+  let total = ref 0.0 in
+  Array.iter (fun (_, r) -> total := !total +. r) sorted;
   Ef_obs.Counter.inc (Ef_obs.Registry.counter obs "collector.snapshots");
   Ef_obs.Gauge.set
     (Ef_obs.Registry.gauge obs "collector.snapshot.prefixes")
     (float_of_int prefix_count);
   {
     time_s;
-    prefix_rates = Lazy.from_val prefix_rates;
+    prefix_rates = lazy (Array.to_list sorted);
+    by_prefix = Lazy.from_val by_prefix;
     rate_set;
     rate_trie;
     routes;
     routes_memo = Hashtbl.create 256;
+    ranked = [||];
     ifaces;
     iface_index = index_ifaces ifaces;
     iface_id_of_peer =
       (fun peer_id -> Option.map Ef_netsim.Iface.id (iface_of_peer peer_id));
-    total_rate_bps;
+    total_rate_bps = !total;
     prefix_count;
     stamp = next_stamp ();
     parent = None;
@@ -265,6 +285,7 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
   let rate_trie = ref prev.rate_trie in
   let count = ref prev.prefix_count in
   let changes = ref [] in
+  (* dirty prefix -> its record's routes flag *)
   let changed = Hashtbl.create (List.length rate_updates + 8) in
   List.iter
     (fun (p, rate) ->
@@ -282,30 +303,33 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
             rate_trie := Bgp.Ptrie.add p r !rate_trie;
             incr count
         | None -> rate_trie := Bgp.Ptrie.remove p !rate_trie);
-        Hashtbl.replace changed p ();
-        changes :=
-          { ch_prefix = p; ch_old_rate = old; ch_new_rate = fresh;
-            ch_routes = false }
-          :: !changes
+        let routes_flag = ref false in
+        Hashtbl.replace changed p routes_flag;
+        changes := (p, old, fresh, routes_flag) :: !changes
       end)
     rate_updates;
-  let changes =
+  let route_only =
     List.fold_left
       (fun acc p ->
-        if Hashtbl.mem changed p then
-          (* already rate-dirty: flip the routes flag on its record *)
-          List.map
-            (fun c ->
-              if Bgp.Prefix.equal c.ch_prefix p then { c with ch_routes = true }
-              else c)
+        match Hashtbl.find_opt changed p with
+        | Some routes_flag ->
+            (* already dirty: flip the routes flag on its record *)
+            routes_flag := true;
             acc
-        else begin
-          Hashtbl.replace changed p ();
-          let r = Bgp.Ptrie.find p !rate_trie in
-          { ch_prefix = p; ch_old_rate = r; ch_new_rate = r; ch_routes = true }
-          :: acc
-        end)
-      (List.rev !changes) routes_changed
+        | None ->
+            Hashtbl.replace changed p (ref true);
+            let r = Bgp.Ptrie.find p !rate_trie in
+            { ch_prefix = p; ch_old_rate = r; ch_new_rate = r; ch_routes = true }
+            :: acc)
+      [] routes_changed
+  in
+  let changes =
+    List.rev_append (List.rev route_only)
+      (List.rev_map
+         (fun (p, old, fresh, routes_flag) ->
+           { ch_prefix = p; ch_old_rate = old; ch_new_rate = fresh;
+             ch_routes = !routes_flag })
+         !changes)
   in
   let rate_set = !rate_set in
   let total =
@@ -327,10 +351,12 @@ let patch ?obs ~prev ?routes ?ifaces ?(routes_changed = []) ~rate_updates
   {
     time_s;
     prefix_rates = lazy (RSet.elements rate_set);
+    by_prefix = lazy (sort_by_prefix (Array.of_list (RSet.elements rate_set)));
     rate_set;
     rate_trie = !rate_trie;
     routes = Option.value routes ~default:prev.routes;
     routes_memo = Hashtbl.create 256;
+    ranked = [||];
     ifaces;
     iface_index;
     iface_id_of_peer = prev.iface_id_of_peer;
@@ -379,7 +405,7 @@ let diff prev next =
 let time_s t = t.time_s
 let prefix_rates t = Lazy.force t.prefix_rates
 
-let iter_rates t f = RSet.iter (fun (p, r) -> f p r) t.rate_set
+let rates_by_prefix t = Lazy.force t.by_prefix
 
 let rate_of t prefix =
   Option.value (Bgp.Ptrie.find prefix t.rate_trie) ~default:0.0
@@ -389,27 +415,56 @@ let rate_of t prefix =
    after that), and re-ranking the Loc-RIB each time dominated the cycle.
    A snapshot is one coherent view, so first answer wins — this also
    pins the view against later RIB churn when [routes] closes over a
-   live RIB. *)
+   live RIB.
+
+   The memo has two tiers. A cold pass ranks every rated prefix at once
+   and hands the answers over as one array aligned with [by_prefix]
+   ({!prime_ranked}) — no million hash inserts on the coordinator; a
+   lookup that misses the Hashtbl bisects the prefix-ordered array on
+   the packed key. The Hashtbl holds everything asked outside such a
+   pass, and is consulted first, so an answer cached before the pass
+   stays the answer. *)
+let ranked_find t prefix =
+  let ranked = t.ranked in
+  if Array.length ranked = 0 then None
+  else
+    let rated = Lazy.force t.by_prefix in
+    let k = Bgp.Ptrie.key prefix in
+    let rec go lo hi =
+      if lo >= hi then None
+      else
+        let mid = (lo + hi) lsr 1 in
+        let c = Int.compare (Bgp.Ptrie.key (fst rated.(mid))) k in
+        if c = 0 then Some ranked.(mid)
+        else if c < 0 then go (mid + 1) hi
+        else go lo mid
+    in
+    go 0 (Array.length rated)
+
 let routes t prefix =
   match Hashtbl.find_opt t.routes_memo prefix with
   | Some rs -> rs
-  | None ->
-      let rs = t.routes prefix in
-      Hashtbl.add t.routes_memo prefix rs;
-      rs
+  | None -> (
+      match ranked_find t prefix with
+      | Some rs -> rs
+      | None ->
+          let rs = t.routes prefix in
+          Hashtbl.add t.routes_memo prefix rs;
+          rs)
 
 (* The memo Hashtbl is not safe for concurrent mutation, so sharded
    consumers rank through the raw closure on the worker domains and the
-   coordinating domain primes the memo with their answers afterwards —
-   same cache content as if [routes] had been called serially. *)
+   coordinating domain hands their answers over afterwards. *)
 let routes_uncached t prefix =
   match Hashtbl.find_opt t.routes_memo prefix with
   | Some rs -> rs
-  | None -> t.routes prefix
+  | None -> (
+      match ranked_find t prefix with Some rs -> rs | None -> t.routes prefix)
 
-let prime_route t prefix rs =
-  if not (Hashtbl.mem t.routes_memo prefix) then
-    Hashtbl.add t.routes_memo prefix rs
+let prime_ranked t ranked =
+  if Array.length ranked <> Array.length (Lazy.force t.by_prefix) then
+    invalid_arg "Snapshot.prime_ranked: not aligned with rates_by_prefix";
+  if Array.length t.ranked = 0 then t.ranked <- ranked
 
 let preferred_route t prefix =
   match routes t prefix with [] -> None | r :: _ -> Some r

@@ -60,11 +60,15 @@ val assemble :
 (** [routes] must return candidates in decision-ranked order (head =
     BGP-preferred). Rates at or below zero are dropped.
 
-    [pool] shards the table build (filter/sort/set/trie) across the
+    [pool] shards the table build (filter/sort/rated set) across the
     pool's domains — a pure throughput knob: the result is byte-identical
-    to the serial build at any pool size (tables below a few thousand
-    prefixes, a 1-lane pool, or a call from inside a pool task silently
-    take the serial path).
+    at any pool size (tables below a few thousand prefixes, a 1-lane
+    pool, or a call from inside a pool task build as one chunk on the
+    calling domain). The rate trie is built in one bulk pass; input that
+    is already in ascending prefix order, as a full-table feed is, skips
+    the key sort that pass otherwise needs. A prefix listed twice keeps
+    both pairs in {!prefix_rates}, and {!rate_of} answers the pair that
+    comes last in that order.
 
     Assembly is instrumented: the [collector.assemble] span and the
     [collector.snapshots] counter (plus a [collector.snapshot.prefixes]
@@ -132,12 +136,15 @@ val diff : t -> t -> diff
 val time_s : t -> int
 val prefix_rates : t -> (Ef_bgp.Prefix.t * float) list
 (** Descending by rate, prefix-ascending within a rate tie — the order
-    the allocator considers prefixes. Materialized lazily on patched
-    snapshots; prefer {!iter_rates} on the million-prefix path. *)
+    the allocator considers prefixes. Materialized lazily, on first
+    call. *)
 
-val iter_rates : t -> (Ef_bgp.Prefix.t -> float -> unit) -> unit
-(** Iterate rated prefixes in the {!prefix_rates} order without
-    materializing the list. *)
+val rates_by_prefix : t -> (Ef_bgp.Prefix.t * float) array
+(** The distinct {!prefix_rates} pairs in ascending prefix order (a
+    prefix rated twice keeps its pairs in {!prefix_rates} order) — the
+    order the cold projection decides in, since it is the order
+    bulk-built tries want. Computed at assembly, lazily on patched
+    snapshots. The array is shared: do not mutate it. *)
 
 val rate_of : t -> Ef_bgp.Prefix.t -> float
 
@@ -150,13 +157,18 @@ val routes : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list
 val routes_uncached : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list
 (** Like {!routes} but never writes the memo: a hit is answered from the
     cache, a miss runs the closure without recording the answer. Safe to
-    call concurrently from several domains (sharded projection ranks
-    through this on workers, then {!prime_route}s the memo serially). *)
+    call concurrently from several domains (the cold projection ranks
+    through this on workers, then hands the answers to
+    {!prime_ranked}). *)
 
-val prime_route : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t list -> unit
-(** Seed the memo with a candidate list obtained via {!routes_uncached};
-    first answer wins, exactly as {!routes} would have cached it. Not
-    thread-safe — call from one domain only. *)
+val prime_ranked : t -> Ef_bgp.Route.t list array -> unit
+(** [prime_ranked t ranked] memoizes [ranked.(i)] as the candidates of
+    the [i]-th prefix of {!rates_by_prefix} — one array for a whole
+    table's answers, obtained via {!routes_uncached}. First answer wins,
+    as with {!routes}: answers cached before stay, and a second priming
+    is ignored. Raises [Invalid_argument] when [ranked] is not aligned
+    with {!rates_by_prefix}. Not thread-safe — call from one domain
+    only. *)
 
 val preferred_route : t -> Ef_bgp.Prefix.t -> Ef_bgp.Route.t option
 val ifaces : t -> Ef_netsim.Iface.t list

@@ -67,163 +67,129 @@ let choose_route ~overrides ~candidates prefix =
   | None -> (
       match candidates with [] -> (None, false, false) | r :: _ -> (Some r, false, false))
 
-let project_seq ~overrides snapshot =
-  let ifaces = Snapshot.ifaces snapshot in
-  let loads = Array.make (max_iface_id ifaces + 1) 0L in
-  let placements = ref Bgp.Ptrie.empty in
-  let overridden_m = ref 0L in
-  let unplaced = ref RSet.empty in
-  let stale = ref Bgp.Ptrie.empty in
-  Snapshot.iter_rates snapshot (fun prefix rate ->
-      let candidates = Snapshot.routes snapshot prefix in
-      let route, overridden, is_stale = choose_route ~overrides ~candidates prefix in
-      if is_stale then stale := Bgp.Ptrie.add prefix () !stale;
-      let placed =
-        match route with
-        | None -> None
-        | Some route -> (
-            match Snapshot.iface_of_route snapshot route with
-            | None -> None
-            | Some iface -> Some (route, Ef_netsim.Iface.id iface))
-      in
-      match placed with
-      | None -> unplaced := RSet.add (prefix, rate) !unplaced
-      | Some (route, iface_id) ->
-          let m = mbps_of_bps rate in
-          loads.(iface_id) <- Int64.add loads.(iface_id) m;
-          if overridden then overridden_m := Int64.add !overridden_m m;
-          placements :=
-            Bgp.Ptrie.add prefix
-              { placed_prefix = prefix; rate_bps = rate; route; iface_id; overridden }
-              !placements);
-  (* aggregates the incremental path must reproduce bit-for-bit are taken
-     from canonical folds, not the iteration above: total is the
-     snapshot's own (rate desc, prefix asc) fold, unroutable folds the
-     unplaced set in its order *)
-  let unroutable = [| 0.0 |] in
-  RSet.iter (fun (_, r) -> unroutable.(0) <- unroutable.(0) +. r) !unplaced;
-  {
-    ifaces;
-    loads;
-    placements = !placements;
-    total_bps = Snapshot.total_rate_bps snapshot;
-    overridden_m = !overridden_m;
-    unroutable_bps = unroutable.(0);
-    unplaced = !unplaced;
-    stale = Bgp.Ptrie.keys !stale;
-  }
+(* --- the cold pass -------------------------------------------------------
 
-(* --- intra-engine sharding --------------------------------------------
-
-   The cold pass is embarrassingly parallel over prefixes: each shard
-   takes a contiguous range of the snapshot's canonical (rate desc,
-   prefix asc) sequence into private scratch — a per-shard int64 loads
-   array, placement/stale tries, an unplaced sub-set — and the merge is
-   deterministic by construction:
+   One path at every shard count. The snapshot's rated prefixes, in
+   ascending prefix order ({!Snapshot.rates_by_prefix}), split into
+   contiguous ranges — a single range on the calling domain when serial,
+   one per pool lane when sharded — and each range is decided into
+   private scratch: an int64 loads array, its placements and stale
+   prefixes in range order, its unplaced pairs. Decisions are per prefix,
+   so their order is free; the merge is deterministic by construction:
 
    - loads and overridden_m accumulate in integer millibps, and integer
-     addition is associative/commutative, so per-shard partial sums add
-     to exactly the serial fold's value;
-   - the placement/stale tries have canonical structure (same bindings ⇒
-     same shape), so unioning disjoint-range shard tries left to right
-     (right side winning a duplicated prefix, which is the serial fold's
-     last-add-wins) rebuilds the serial trie exactly;
-   - unplaced shard sets cover separated ranges of one total order, so
-     their union has the serial content, and unroutable_bps re-folds
-     that set in its canonical iteration order — the serial pass's exact
-     float-addition sequence;
-   - total_bps is the snapshot's own precomputed fold either way.
+     addition is associative and commutative, so the ranges' partial sums
+     add to the same value however the table is split or ordered;
+   - the ranges' placements, concatenated, are in ascending prefix order,
+     so the placement trie comes straight from the bulk constructor (a
+     prefix rated twice sits in adjacent slots in canonical order, and
+     the last wins, as in a fold over the canonical order);
+   - the unplaced set is content-determined, and unroutable_bps folds it
+     in its canonical (rate desc, prefix asc) order;
+   - total_bps is the snapshot's own precomputed fold.
 
    Candidate ranking goes through [Snapshot.routes_uncached] on the
-   workers (the memo Hashtbl is not safe for concurrent writes) and the
-   answers are primed into the memo serially afterwards, so the relief
-   loop and guard see the hits the serial pass would have left behind.
+   workers (the memo Hashtbl is not safe for concurrent writes); each
+   range writes its answers into its own slots of one array, which the
+   calling domain hands to [Snapshot.prime_ranked] afterwards, so the
+   relief loop and guard see the same cache hits at any shard count.
    [overrides] runs on worker domains when sharded — it must be pure. *)
 
 let shard_pool ~shards =
   if shards <= 1 || Ef_util.Pool.in_task () then None
   else Some (Ef_util.Pool.global ~jobs:shards ())
 
-let project_sharded ~overrides ~pool snapshot =
-  let rated = Array.of_list (Snapshot.prefix_rates snapshot) in
-  let n = Array.length rated in
-  let ifaces = Snapshot.ifaces snapshot in
-  let width = max_iface_id ifaces + 1 in
-  let parts =
-    Ef_util.Pool.map pool
-      (fun (lo, hi) ->
-        let loads = Array.make width 0L in
-        let overridden_m = ref 0L in
-        let placements = ref Bgp.Ptrie.empty in
-        let unplaced = ref RSet.empty in
-        let stale = ref Bgp.Ptrie.empty in
-        let routed = Array.make (hi - lo) [] in
-        for i = lo to hi - 1 do
-          let prefix, rate = rated.(i) in
-          let candidates = Snapshot.routes_uncached snapshot prefix in
-          routed.(i - lo) <- candidates;
-          let route, overridden, is_stale =
-            choose_route ~overrides ~candidates prefix
-          in
-          if is_stale then stale := Bgp.Ptrie.add prefix () !stale;
-          let placed =
-            match route with
-            | None -> None
-            | Some route -> (
-                match Snapshot.iface_of_route snapshot route with
-                | None -> None
-                | Some iface -> Some (route, Ef_netsim.Iface.id iface))
-          in
-          match placed with
-          | None -> unplaced := RSet.add (prefix, rate) !unplaced
-          | Some (route, iface_id) ->
-              let m = mbps_of_bps rate in
-              loads.(iface_id) <- Int64.add loads.(iface_id) m;
-              if overridden then overridden_m := Int64.add !overridden_m m;
-              placements :=
-                Bgp.Ptrie.add prefix
-                  { placed_prefix = prefix; rate_bps = rate; route; iface_id;
-                    overridden }
-                  !placements
-        done;
-        (lo, loads, !overridden_m, !placements, !unplaced, !stale, routed))
-      (Ef_util.Pool.chunk_ranges ~n ~k:(Ef_util.Pool.jobs pool))
-  in
+type range = {
+  r_loads : int64 array;
+  r_overridden : int64;
+  r_placed : placement list; (* descending prefix *)
+  r_unplaced : (Bgp.Prefix.t * float) list;
+  r_stale : Bgp.Prefix.t list; (* descending prefix *)
+}
+
+(* [ranked] is shared: each range writes only its own slots *)
+let decide_range ~overrides ~width snapshot rated ranked (lo, hi) =
   let loads = Array.make width 0L in
   let overridden_m = ref 0L in
-  let placements = ref Bgp.Ptrie.empty in
-  let unplaced = ref RSet.empty in
-  let stale = ref Bgp.Ptrie.empty in
-  List.iter
-    (fun (lo, l, om, pl, un, stl, routed) ->
-      for id = 0 to width - 1 do
-        loads.(id) <- Int64.add loads.(id) l.(id)
-      done;
-      overridden_m := Int64.add !overridden_m om;
-      placements := Bgp.Ptrie.union (fun _ b -> b) !placements pl;
-      unplaced := RSet.union !unplaced un;
-      stale := Bgp.Ptrie.union (fun _ b -> b) !stale stl;
-      Array.iteri
-        (fun j rs -> Snapshot.prime_route snapshot (fst rated.(lo + j)) rs)
-        routed)
-    parts;
-  let unroutable = [| 0.0 |] in
-  RSet.iter (fun (_, r) -> unroutable.(0) <- unroutable.(0) +. r) !unplaced;
+  let placed = ref [] and unplaced = ref [] and stale = ref [] in
+  for i = lo to hi - 1 do
+    let prefix, rate = rated.(i) in
+    let candidates = Snapshot.routes_uncached snapshot prefix in
+    ranked.(i) <- candidates;
+    let route, overridden, is_stale = choose_route ~overrides ~candidates prefix in
+    if is_stale then stale := prefix :: !stale;
+    let iface =
+      match route with
+      | None -> None
+      | Some route -> Snapshot.iface_of_route snapshot route
+    in
+    match (route, iface) with
+    | Some route, Some iface ->
+        let iface_id = Ef_netsim.Iface.id iface in
+        let m = mbps_of_bps rate in
+        loads.(iface_id) <- Int64.add loads.(iface_id) m;
+        if overridden then overridden_m := Int64.add !overridden_m m;
+        placed :=
+          { placed_prefix = prefix; rate_bps = rate; route; iface_id; overridden }
+          :: !placed
+    | _ -> unplaced := (prefix, rate) :: !unplaced
+  done;
   {
-    ifaces;
-    loads;
-    placements = !placements;
-    total_bps = Snapshot.total_rate_bps snapshot;
-    overridden_m = !overridden_m;
-    unroutable_bps = unroutable.(0);
-    unplaced = !unplaced;
-    stale = Bgp.Ptrie.keys !stale;
+    r_loads = loads;
+    r_overridden = !overridden_m;
+    r_placed = !placed;
+    r_unplaced = !unplaced;
+    r_stale = !stale;
   }
 
 let project ?(overrides = fun _ -> None) ?(shards = 1) snapshot =
-  match shard_pool ~shards with
-  | None -> project_seq ~overrides snapshot
-  | Some pool -> project_sharded ~overrides ~pool snapshot
+  let rated = Snapshot.rates_by_prefix snapshot in
+  let ifaces = Snapshot.ifaces snapshot in
+  let width = max_iface_id ifaces + 1 in
+  let ranked = Array.make (Array.length rated) [] in
+  let ranges =
+    Ef_util.Pool.map_ranges (shard_pool ~shards) ~n:(Array.length rated)
+      (decide_range ~overrides ~width snapshot rated ranked)
+  in
+  Snapshot.prime_ranked snapshot ranked;
+  let loads = Array.make width 0L in
+  let overridden_m = ref 0L in
+  List.iter
+    (fun rg ->
+      for id = 0 to width - 1 do
+        loads.(id) <- Int64.add loads.(id) rg.r_loads.(id)
+      done;
+      overridden_m := Int64.add !overridden_m rg.r_overridden)
+    ranges;
+  (* back to front over ranges whose lists run back to front *)
+  let ascending field =
+    List.fold_left (fun acc rg -> List.rev_append (field rg) acc) [] (List.rev ranges)
+  in
+  let placed = Array.of_list (ascending (fun rg -> rg.r_placed)) in
+  (* a prefix rated twice can be stale twice *)
+  let stale =
+    List.fold_left
+      (fun acc p ->
+        match acc with q :: _ when Bgp.Prefix.equal p q -> acc | _ -> p :: acc)
+      [] (ascending (fun rg -> rg.r_stale))
+    |> List.rev
+  in
+  let unplaced = RSet.of_list (List.concat_map (fun rg -> rg.r_unplaced) ranges) in
+  let unroutable = [| 0.0 |] in
+  RSet.iter (fun (_, r) -> unroutable.(0) <- unroutable.(0) +. r) unplaced;
+  {
+    ifaces;
+    loads;
+    placements =
+      Bgp.Ptrie.init_sorted (Array.length placed)
+        (fun i -> placed.(i).placed_prefix)
+        (fun i -> placed.(i));
+    total_bps = Snapshot.total_rate_bps snapshot;
+    overridden_m = !overridden_m;
+    unroutable_bps = unroutable.(0);
+    unplaced;
+    stale;
+  }
 
 let load_bps t ~iface_id =
   if iface_id < 0 || iface_id >= Array.length t.loads then 0.0
@@ -333,48 +299,26 @@ module Working = struct
     mutable w_touched : int list; (* iface ids with load changes, undrained *)
   }
 
-  (* The per-iface placement index is the expensive part of the build
-     (one PSet.add per placement). Shards index contiguous chunks of the
-     placement sequence into private per-iface set arrays, merged per
-     iface with PSet.union — sets are content-determined, so every
-     observable (elements, to_seq, fold) matches the serial build. *)
+  (* The per-iface placement index: placements bucketed by interface in
+     one trie walk, then one bulk [PSet.of_list] per interface, the
+     interfaces fanned out over the pool when sharded. Sets are
+     content-determined, so every observable (elements, to_seq, fold) is
+     the same at any shard count. *)
   let of_projection ?(shards = 1) (p : proj) =
     let width = Array.length p.loads in
+    let buckets = Array.make width [] in
+    Bgp.Ptrie.iter
+      (fun _ pl -> buckets.(pl.iface_id) <- pl :: buckets.(pl.iface_id))
+      p.placements;
+    let index id = PSet.of_list buckets.(id) in
+    let ids = List.init width Fun.id in
     let by_iface =
-      match shard_pool ~shards with
-      | None ->
-          let by = Array.make width PSet.empty in
-          Bgp.Ptrie.iter
-            (fun _ pl -> by.(pl.iface_id) <- PSet.add pl by.(pl.iface_id))
-            p.placements;
-          by
-      | Some pool ->
-          let pls =
-            Array.of_list
-              (Bgp.Ptrie.fold (fun _ pl acc -> pl :: acc) p.placements [])
-          in
-          let n = Array.length pls in
-          let parts =
-            Ef_util.Pool.map pool
-              (fun (lo, hi) ->
-                let by = Array.make width PSet.empty in
-                for i = lo to hi - 1 do
-                  let pl = pls.(i) in
-                  by.(pl.iface_id) <- PSet.add pl by.(pl.iface_id)
-                done;
-                by)
-              (Ef_util.Pool.chunk_ranges ~n ~k:(Ef_util.Pool.jobs pool))
-          in
-          let by = Array.make width PSet.empty in
-          List.iter
-            (fun part ->
-              for id = 0 to width - 1 do
-                if not (PSet.is_empty part.(id)) then
-                  by.(id) <- PSet.union by.(id) part.(id)
-              done)
-            parts;
-          by
+      Array.of_list
+        (match shard_pool ~shards with
+        | None -> List.map index ids
+        | Some pool -> Ef_util.Pool.map pool index ids)
     in
+    let stale = Array.of_list p.stale in
     {
       w_ifaces = p.ifaces;
       w_loads = Array.copy p.loads;
@@ -384,7 +328,8 @@ module Working = struct
       w_overridden = p.overridden_m;
       w_unroutable = p.unroutable_bps;
       w_unplaced = p.unplaced;
-      w_stale = Bgp.Ptrie.of_list (List.map (fun p -> (p, ())) p.stale);
+      w_stale =
+        Bgp.Ptrie.init_sorted (Array.length stale) (Array.get stale) (fun _ -> ());
       w_touched = [];
     }
 

@@ -27,14 +27,16 @@ val project :
     {!stale_overrides}. Prefixes with no route at all are dropped and
     counted in {!unroutable_bps}.
 
-    [shards > 1] partitions the prefix sequence across that many domains
-    of the process-wide {!Ef_util.Pool} with per-shard scratch, merged
-    deterministically — the result is byte-identical to [shards = 1] at
-    any count (integer load sums are associative; tries and sets are
-    content-canonical; every float fold runs in the serial pass's exact
-    order). When sharded, [overrides] runs on worker domains and must be
-    a pure function. Calls from inside a pool task fall back to the
-    sequential pass. *)
+    Prefixes are decided in ascending prefix order
+    ({!Ef_collector.Snapshot.rates_by_prefix}) over contiguous ranges:
+    one range on the calling domain at [shards = 1], one per domain of
+    the process-wide {!Ef_util.Pool} at [shards > 1]. The ranges merge
+    deterministically — the result is byte-identical at any count
+    (integer load sums are associative; the placement trie is built in
+    one bulk pass and sets are content-canonical; every float fold runs
+    in canonical order). When sharded, [overrides] runs on worker
+    domains and must be a pure function. Calls from inside a pool task
+    run the ranges sequentially. *)
 
 val load_bps : t -> iface_id:int -> float
 (** Per-interface load. Accumulated internally in integer millibps
@@ -116,9 +118,9 @@ module Working : sig
 
   val of_projection : ?shards:int -> proj -> t
   (** O(placements · log). The source projection is not mutated.
-      [shards > 1] builds the per-interface placement index on that many
-      domains (merged per interface by set union — observably identical
-      to the sequential build; see {!Projection.project} on sharding). *)
+      [shards > 1] builds the per-interface placement indexes on that
+      many domains, one interface per task — observably identical to
+      [shards = 1]; see {!Projection.project} on sharding. *)
 
   val copy : t -> t
   (** O(interfaces) snapshot of a working view: load and index arrays are

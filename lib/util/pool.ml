@@ -195,6 +195,14 @@ let chunk_ranges ~n ~k =
   in
   go 0 0 []
 
+(* no pool: the whole index space is one range on the calling domain, so
+   a serial caller runs the sharded code with one shard instead of a
+   second implementation *)
+let map_ranges pool ~n f =
+  match pool with
+  | None -> [ f (0, n) ]
+  | Some t -> map t f (chunk_ranges ~n ~k:t.pool_jobs)
+
 (* --- the process-wide shared pool ------------------------------------ *)
 
 (* One long-lived pool reused across Fleet.run calls, controller shards

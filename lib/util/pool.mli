@@ -101,3 +101,9 @@ val chunk_ranges : n:int -> k:int -> (int * int) list
     each other (fewer ranges when [n < k]; a single [(0, n)] range — or
     [(0, 0)] when [n = 0] — when [k <= 1]). Shard tasks use this to
     partition an index space deterministically. *)
+
+val map_ranges : t option -> n:int -> (int * int -> 'a) -> 'a list
+(** [map_ranges pool ~n f] runs [f] over [chunk_ranges ~n ~k:(jobs pool)]
+    through {!map}, results in range order; with [None] it is
+    [[f (0, n)]] on the calling domain. The one entry point for code
+    whose serial path is its sharded path with a single shard. *)

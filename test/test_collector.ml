@@ -247,6 +247,50 @@ let test_snapshot_iface_of_route () =
           Alcotest.(check int) "consistent with pop" (N.Iface.id iface)
             (N.Iface.id (N.Pop.iface_of_peer pop ~peer_id:(Bgp.Route.peer_id r))))
 
+(* a prefix both re-rated and route-invalidated yields one record with
+   the routes flag set; route-only records lead (latest first), then the
+   rate records in update order — the order consumers replay *)
+let test_snapshot_patch_overlap () =
+  let world = N.Topo_gen.generate N.Topo_gen.small_config in
+  let pop = world.N.Topo_gen.pop in
+  let p i = List.nth world.N.Topo_gen.all_prefixes i in
+  let prev =
+    C.Snapshot.of_pop pop
+      ~prefix_rates:[ (p 0, 1.0); (p 1, 2.0); (p 2, 3.0); (p 3, 4.0); (p 4, 5.0) ]
+      ~time_s:0
+  in
+  let next =
+    C.Snapshot.patch ~prev
+      ~rate_updates:[ (p 0, 10.0); (p 1, 20.0); (p 2, 0.0); (p 5, 6.0) ]
+      ~routes_changed:[ p 1; p 3; p 0; p 3; p 4 ]
+      ~time_s:30 ()
+  in
+  let d = C.Snapshot.diff prev next in
+  let show (c : C.Snapshot.change) =
+    let rate = function None -> "-" | Some r -> Printf.sprintf "%g" r in
+    Printf.sprintf "%s %s->%s%s"
+      (Bgp.Prefix.to_string c.C.Snapshot.ch_prefix)
+      (rate c.C.Snapshot.ch_old_rate) (rate c.C.Snapshot.ch_new_rate)
+      (if c.C.Snapshot.ch_routes then " routes" else "")
+  in
+  let expect i o n routes =
+    show
+      { C.Snapshot.ch_prefix = p i; ch_old_rate = o; ch_new_rate = n;
+        ch_routes = routes }
+  in
+  Alcotest.(check bool) "linked" true d.C.Snapshot.linked;
+  Alcotest.(check (list string))
+    "one record per prefix, overlaps flagged"
+    [
+      expect 4 (Some 5.0) (Some 5.0) true;
+      expect 3 (Some 4.0) (Some 4.0) true;
+      expect 0 (Some 1.0) (Some 10.0) true;
+      expect 1 (Some 2.0) (Some 20.0) true;
+      expect 2 (Some 3.0) None false;
+      expect 5 None (Some 6.0) false;
+    ]
+    (List.map show d.C.Snapshot.changes)
+
 let suite =
   [
     Alcotest.test_case "bmp initiation" `Quick test_bmp_initiation_roundtrip;
@@ -273,4 +317,6 @@ let suite =
     Alcotest.test_case "snapshot drops zero rates" `Quick
       test_snapshot_drops_zero_rates;
     Alcotest.test_case "snapshot iface of route" `Quick test_snapshot_iface_of_route;
+    Alcotest.test_case "snapshot patch: overlapping rate and route changes"
+      `Quick test_snapshot_patch_overlap;
   ]

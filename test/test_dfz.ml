@@ -179,6 +179,155 @@ let test_sharded_assemble_identical () =
             (C.Snapshot.rate_of sharded p))
         (C.Snapshot.prefix_rates serial))
 
+(* The fallback the dfz feed never takes: input out of prefix order, some
+   prefixes rated twice (with the same rate and with another one), zero
+   and negative rates, a prefix with no route, overrides both valid and
+   stale. Every shard count must build the same snapshot, projection and
+   working index — and all must match a model written from the
+   definitions: the canonical sort of the positive pairs, the rate trie
+   and placements as folds of [add] over it (last wins), loads and
+   unroutable as sums over it. *)
+let test_sharded_unsorted_duplicates () =
+  let module C = Ef_collector in
+  let module P = Edge_fabric.Projection in
+  let gen = N.Dfz.create (small 10_000) in
+  let base = Array.of_list (N.Dfz.current_rates gen) in
+  Ef_util.Rng.shuffle (Ef_util.Rng.create 7) base;
+  let extra = ref [ (Bgp.Prefix.v "203.0.113.0/24", 5e6) ] in
+  Array.iteri
+    (fun i (p, r) ->
+      if i mod 97 = 0 then extra := (p, r) :: !extra;
+      if i mod 89 = 0 then extra := (p, r *. 0.5) :: (p, r *. 2.0) :: !extra;
+      if i mod 101 = 0 then extra := (p, 0.0) :: !extra;
+      if i mod 103 = 0 then extra := (p, -1.0) :: !extra)
+    base;
+  let input = Array.to_list base @ List.rev !extra in
+  let assemble ?pool () =
+    C.Snapshot.assemble ~obs:(Ef_obs.Registry.create ()) ?pool
+      ~routes:(N.Dfz.routes gen) ~iface_of_peer:(N.Dfz.iface_of_peer gen)
+      ~ifaces:(N.Dfz.ifaces gen) ~prefix_rates:input ~time_s:0 ()
+  in
+  let compare_rated (pa, ra) (pb, rb) =
+    let c = Float.compare rb ra in
+    if c <> 0 then c else Bgp.Prefix.compare pa pb
+  in
+  let canonical =
+    List.stable_sort compare_rated (List.filter (fun (_, r) -> r > 0.0) input)
+  in
+  let rated_set = List.sort_uniq compare_rated canonical in
+  let model_trie = Bgp.Ptrie.of_list canonical in
+  (* overrides: the second candidate on some prefixes, a neighbor the
+     prefix does not have on others *)
+  let pool_routes =
+    List.concat_map
+      (fun (p, _) -> N.Dfz.routes gen p)
+      (List.filteri (fun i _ -> i < 50) canonical)
+  in
+  let overrides p =
+    let cs = N.Dfz.routes gen p in
+    let peers = List.map Bgp.Route.peer_id cs in
+    match Bgp.Ptrie.key p mod 5 with
+    | 0 -> List.nth_opt cs 1
+    | 1 ->
+        List.find_opt
+          (fun r -> not (List.mem (Bgp.Route.peer_id r) peers))
+          pool_routes
+    | _ -> None
+  in
+  let serial = assemble () in
+  let model_projection snap =
+    let loads = Hashtbl.create 8 in
+    let placements = ref Bgp.Ptrie.empty and unplaced = ref [] and stale = ref [] in
+    List.iter
+      (fun (p, r) ->
+        let cs = C.Snapshot.routes snap p in
+        let route, overridden =
+          match overrides p with
+          | Some want -> (
+              match
+                List.find_opt
+                  (fun c -> Bgp.Route.peer_id c = Bgp.Route.peer_id want)
+                  cs
+              with
+              | Some c -> (Some c, true)
+              | None ->
+                  stale := p :: !stale;
+                  (List.nth_opt cs 0, false))
+          | None -> (List.nth_opt cs 0, false)
+        in
+        match Option.bind route (C.Snapshot.iface_of_route snap) with
+        | None -> unplaced := (p, r) :: !unplaced
+        | Some iface ->
+            let id = N.Iface.id iface in
+            let m = Int64.of_float (r *. 1000.0) in
+            Hashtbl.replace loads id
+              (Int64.add m (Option.value (Hashtbl.find_opt loads id) ~default:0L));
+            placements :=
+              Bgp.Ptrie.add p
+                { P.placed_prefix = p; rate_bps = r; route = Option.get route;
+                  iface_id = id; overridden }
+                !placements)
+      rated_set;
+    ( List.sort compare
+        (Hashtbl.fold
+           (fun id m acc -> (id, Int64.to_float m /. 1000.0) :: acc)
+           loads []),
+      Bgp.Ptrie.fold (fun _ pl acc -> pl :: acc) !placements [],
+      List.fold_left (fun acc (_, r) -> acc +. r) 0.0 (List.rev !unplaced),
+      List.sort_uniq Bgp.Prefix.compare !stale )
+  in
+  let observe proj =
+    ( List.filter_map
+        (fun (i, l) -> if l = 0.0 then None else Some (N.Iface.id i, l))
+        (P.iface_loads proj),
+      P.placements proj,
+      P.unroutable_bps proj,
+      P.stale_overrides proj )
+  in
+  let model = model_projection serial in
+  let check_snapshot ctx snap =
+    Alcotest.(check int) (ctx ^ ": prefix_count") (List.length canonical)
+      (C.Snapshot.prefix_count snap);
+    Alcotest.(check (float 0.0)) (ctx ^ ": total")
+      (List.fold_left (fun acc (_, r) -> acc +. r) 0.0 canonical)
+      (C.Snapshot.total_rate_bps snap);
+    Alcotest.(check bool) (ctx ^ ": prefix_rates") true
+      (C.Snapshot.prefix_rates snap = canonical);
+    Alcotest.(check bool) (ctx ^ ": rates_by_prefix") true
+      (Array.to_list (C.Snapshot.rates_by_prefix snap)
+      = List.stable_sort (fun (a, _) (b, _) -> Bgp.Prefix.compare a b) rated_set);
+    List.iter
+      (fun (p, _) ->
+        Alcotest.(check (float 0.0))
+          (Format.asprintf "%s: rate_of %a" ctx Bgp.Prefix.pp p)
+          (Option.value (Bgp.Ptrie.find p model_trie) ~default:0.0)
+          (C.Snapshot.rate_of snap p))
+      input;
+    List.iter
+      (fun shards ->
+        let ctx = Printf.sprintf "%s, project shards=%d" ctx shards in
+        let proj = P.project ~overrides ~shards snap in
+        Alcotest.(check bool) (ctx ^ ": = model") true (observe proj = model);
+        let w = P.Working.of_projection ~shards proj in
+        List.iter
+          (fun (i : N.Iface.t) ->
+            let id = N.Iface.id i in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: working index iface %d" ctx id)
+              true
+              (P.Working.placements_on w ~iface_id:id
+              = P.placements_on proj ~iface_id:id))
+          (N.Dfz.ifaces gen))
+      [ 1; 2; 4 ]
+  in
+  let _, placements, _, stale = model in
+  Alcotest.(check bool) "model has stale overrides" true (stale <> []);
+  Alcotest.(check bool) "model has overridden placements" true
+    (List.exists (fun pl -> pl.P.overridden) placements);
+  check_snapshot "serial" serial;
+  Ef_util.Pool.with_pool ~jobs:4 (fun pool ->
+      check_snapshot "pooled" (assemble ~pool ()))
+
 (* satellite pin: the headline percentiles are steady-state — cycle 0's
    cold build is excluded, reported separately as cold_s *)
 let test_percentiles_exclude_cold () =
@@ -300,4 +449,6 @@ let suite =
       test_run_mrt_deterministic;
     Alcotest.test_case "run_mrt rejects dump with no prefixes" `Quick
       test_run_mrt_rejects_empty;
+    Alcotest.test_case "sharded = serial = model on unsorted, duplicated input"
+      `Quick test_sharded_unsorted_duplicates;
   ]

@@ -259,6 +259,54 @@ let qcheck_trie_add_remove_roundtrip =
       let emptied = List.fold_left (fun t p -> Bgp.Ptrie.remove p t) t uniq in
       Bgp.Ptrie.cardinal t = List.length uniq && Bgp.Ptrie.is_empty emptied)
 
+(* bulk construction: random bindings over lengths 0-32, each base
+   prefix followed by a few more-specifics inside it and the odd
+   re-binding of the same prefix (distinct values, so the last-wins rule
+   is visible), sorted stably into ascending prefix order *)
+let gen_nested_bindings =
+  QCheck.Gen.(
+    let prefix_in base =
+      map2
+        (fun bits extra ->
+          let len = min 32 (Bgp.Prefix.length base + extra) in
+          let host = Int32.of_int (bits land 0xFFFFFFFF) in
+          let net = Bgp.Ipv4.to_int32 (Bgp.Prefix.network base) in
+          Bgp.Prefix.make (Bgp.Ipv4.of_int32 (Int32.logor net host)) len)
+        int (int_range 0 8)
+    in
+    let group =
+      map2
+        (fun addr len -> Bgp.Prefix.make (Bgp.Ipv4.of_int32 (Int32.of_int addr)) len)
+        int (int_range 0 32)
+      >>= fun base ->
+      list_size (int_range 0 4) (oneof [ prefix_in base; return base ])
+      >|= fun nested -> base :: nested
+    in
+    list_size (int_range 0 25) group >|= fun groups ->
+    List.concat groups |> List.mapi (fun i p -> (p, i))
+    |> List.stable_sort (fun (a, _) (b, _) -> Bgp.Prefix.compare a b))
+
+let qcheck_init_sorted_is_of_list =
+  QCheck.Test.make ~name:"ptrie init_sorted = of_list (structurally)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat ";"
+           (List.map (fun (p, i) -> Printf.sprintf "%s=%d" (Bgp.Prefix.to_string p) i) l))
+       gen_nested_bindings)
+    (fun bindings ->
+      let a = Array.of_list bindings in
+      Bgp.Ptrie.init_sorted (Array.length a) (fun i -> fst a.(i)) (fun i -> snd a.(i))
+      = Bgp.Ptrie.of_list bindings)
+
+let test_ptrie_init_sorted_rejects_unsorted () =
+  let a = [| prefix "10.1.0.0/16"; prefix "10.0.0.0/8" |] in
+  Alcotest.check_raises "descending"
+    (Invalid_argument "Ptrie.init_sorted: prefixes not in ascending order")
+    (fun () -> ignore (Bgp.Ptrie.init_sorted 2 (Array.get a) Fun.id));
+  Alcotest.(check bool) "empty" true
+    (Bgp.Ptrie.is_empty (Bgp.Ptrie.init_sorted 0 (Array.get a) Fun.id))
+
 let qcheck_prefix_subnets_cover =
   QCheck.Test.make ~name:"subnets partition the parent" ~count:200
     QCheck.(
@@ -306,4 +354,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_trie_vs_assoc_lpm;
     QCheck_alcotest.to_alcotest qcheck_trie_add_remove_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_prefix_subnets_cover;
+    QCheck_alcotest.to_alcotest qcheck_init_sorted_is_of_list;
+    Alcotest.test_case "ptrie init_sorted rejects unsorted" `Quick
+      test_ptrie_init_sorted_rejects_unsorted;
   ]
